@@ -3,8 +3,9 @@ package pmemgraph
 // One benchmark per table and figure in the paper's evaluation. Each
 // regenerates the experiment through the harness at ScaleSmall with
 // trimmed sweeps so `go test -bench=.` completes in minutes; run
-// `cmd/pmembench -scale full` for the full-scale harness and see
-// EXPERIMENTS.md for recorded outputs.
+// `cmd/pmembench -scale full` for the full-scale harness, and
+// `cmd/pmembench -quick -json BENCH_figures.json` to record every
+// experiment's rows as JSON (the file CI uploads as an artifact).
 
 import (
 	"io"

@@ -221,10 +221,14 @@ func FigServe(opt Options) error {
 		}
 	}
 
-	// Calibrate the offered-load axis: measure each job shape once and
-	// take the trace-weighted mean service time as the single-worker
-	// capacity. Multipliers below/above 1 are then genuine under/overload
-	// regardless of host speed.
+	// Calibrate the offered-load axis: measure each job shape and take the
+	// trace-weighted mean service time as the single-worker capacity.
+	// Multipliers below/above 1 are then genuine under/overload regardless
+	// of host speed. Each shape's cost is the median of several warm runs:
+	// a single cold run over-weights whichever shape pays the first-run
+	// costs (lazy transposes, heap growth), which skews the interactive-
+	// to-batch cost ratio and with it the overload point.
+	const calibrationRuns = 5
 	classEvents := map[string]int{}
 	for _, ev := range trace.Events {
 		classEvents[ev.Class]++
@@ -234,11 +238,17 @@ func FigServe(opt Options) error {
 		g := graphs[gname]
 		params := frameworks.DefaultParams(g)
 		for _, app := range apps {
-			t0 := time.Now()
-			if _, err := frameworks.Galois.RunOn(memsim.NewMachine(machine), g, app, 8, params); err != nil {
-				return fmt.Errorf("bench: calibrating %s/%s: %w", gname, app, err)
+			samples := make([]float64, 0, calibrationRuns)
+			for i := 0; i <= calibrationRuns; i++ {
+				t0 := time.Now()
+				if _, err := frameworks.Galois.RunOn(memsim.NewMachine(machine), g, app, 8, params); err != nil {
+					return fmt.Errorf("bench: calibrating %s/%s: %w", gname, app, err)
+				}
+				if i > 0 { // run 0 warms up
+					samples = append(samples, time.Since(t0).Seconds())
+				}
 			}
-			costs[app] = time.Since(t0).Seconds()
+			costs[app] = stats.Quantile(samples, 0.5)
 		}
 	}
 	n := float64(len(trace.Events))

@@ -82,6 +82,10 @@ type Array struct {
 	// segments describe Local placement spills: sorted by startPage.
 	segments []placeSegment
 
+	// frac is the fraction of the allocation's bytes placed on each
+	// socket, fixed at Alloc (see fracOnSocket).
+	frac []float64
+
 	// touched tracks first-touch minor faults, one bit per page.
 	touched []atomic.Uint64
 
@@ -238,43 +242,50 @@ func (a *Array) WriteRange(t *Thread, i, j int64) {
 
 // fracOnSocket returns the fraction of the allocation's bytes placed on
 // socket s, used by the bandwidth-sharing model.
-func (a *Array) fracOnSocket(s int) float64 {
-	sockets := a.m.cfg.Sockets
+func (a *Array) fracOnSocket(s int) float64 { return a.frac[s] }
+
+// placementFracs computes fracOnSocket for every socket. Placement is fixed
+// once Alloc has placed the array, so it runs once per allocation rather
+// than on every charge.
+func (a *Array) placementFracs() []float64 {
+	frac := make([]float64, a.m.cfg.Sockets)
 	switch a.opts.Policy {
 	case Interleaved:
-		return 1 / float64(sockets)
+		for s := range frac {
+			frac[s] = 1 / float64(len(frac))
+		}
 	case Blocked:
 		threads := a.opts.BlockThreads
 		if threads <= 0 {
 			threads = a.m.cfg.MaxThreads()
 		}
-		on := 0
+		on := make([]int, len(frac))
 		for t := 0; t < threads; t++ {
-			if threadSocket(&a.m.cfg, t) == s {
-				on++
-			}
+			on[threadSocket(&a.m.cfg, t)]++
 		}
-		return float64(on) / float64(threads)
+		for s := range frac {
+			frac[s] = float64(on[s]) / float64(threads)
+		}
 	default:
-		var span int64
-		for i, seg := range a.segments {
-			if seg.socket != s {
-				continue
+		if a.bytes == 0 {
+			for s := range frac {
+				frac[s] = 1
 			}
+			break
+		}
+		span := make([]int64, len(frac))
+		for i, seg := range a.segments {
 			endPage := a.numPages
 			if i+1 < len(a.segments) {
 				endPage = a.segments[i+1].startPage
 			}
-			span += (endPage - seg.startPage) * a.pageSize
+			span[seg.socket] += (endPage - seg.startPage) * a.pageSize
 		}
-		if span > a.bytes {
-			span = a.bytes
+		for s := range frac {
+			frac[s] = float64(min(span[s], a.bytes)) / float64(a.bytes)
 		}
-		if a.bytes == 0 {
-			return 1
-		}
-		return float64(span) / float64(a.bytes)
 	}
+	return frac
 }
 
 // RandomBatch charges n independent random cache-line accesses, costed

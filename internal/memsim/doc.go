@@ -25,6 +25,18 @@
 //   - bandwidth asymmetries between modes, patterns, and local/remote
 //     accesses (Tables 1 and 2)
 //
+// Parallel regions run their virtual threads on at most GOMAXPROCS worker
+// goroutines, which claim thread indices from a shared counter and run each
+// claimed thread's body to completion. Thread state is pooled per Machine
+// and reset to the fresh state at region start, so a warm region allocates
+// almost nothing however many virtual threads it has. Two invariants
+// follow: a region body must never wait on another virtual thread of its
+// region (that thread may not have started), and one Machine runs one
+// region at a time (a nested or concurrent region on it panics). Simulated
+// results do not depend on the worker count: threads keep all simulated
+// state private and the machine merges it in thread-index order at the
+// region barrier (DESIGN.md, "Concurrency model").
+//
 // The near-memory cache is modelled statistically (per-socket residency
 // ratios give per-access hit probabilities, sampled with per-thread
 // deterministic RNGs) while TLBs are simulated exactly per thread. See

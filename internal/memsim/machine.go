@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -12,7 +13,8 @@ import (
 // drives the near-memory cache model.
 //
 // Machine is safe for use by the goroutines of a single Parallel region;
-// distinct Parallel regions must not overlap.
+// distinct Parallel regions must not overlap (a second region started while
+// one is running panics).
 type Machine struct {
 	cfg  MachineConfig
 	cost *CostParams
@@ -29,9 +31,18 @@ type Machine struct {
 	nextAddr uint64
 	allocs   map[string]*Array
 
-	// Region state, valid while a Parallel region runs.
-	regionThreads         int
-	regionThreadsOnSocket []int32
+	// Region state, valid while a Parallel region runs. inRegion guards
+	// the one-region-at-a-time invariant that lets the pooled threads be
+	// reused without locking.
+	inRegion      atomic.Bool
+	regionThreads int
+	nextThread    atomic.Int64
+	workers       sync.WaitGroup
+
+	// threads is the pool of virtual-thread state, indexed by thread ID
+	// and grown to the largest region seen. Every region resets the
+	// threads it uses to their fresh state (Thread.reset).
+	threads []*Thread
 
 	// thpSmallFraction is the fraction of translations on THP-backed
 	// allocations that still resolve through 4 KB pages.
@@ -46,13 +57,12 @@ func NewMachine(cfg MachineConfig) *Machine {
 	}
 	cost := cfg.Cost
 	m := &Machine{
-		cfg:                   cfg,
-		cost:                  &cost,
-		volatileBytes:         make([]int64, cfg.Sockets),
-		adBytes:               make([]int64, cfg.Sockets),
-		allocs:                make(map[string]*Array),
-		regionThreadsOnSocket: make([]int32, cfg.Sockets),
-		thpSmallFraction:      0.30,
+		cfg:              cfg,
+		cost:             &cost,
+		volatileBytes:    make([]int64, cfg.Sockets),
+		adBytes:          make([]int64, cfg.Sockets),
+		allocs:           make(map[string]*Array),
+		thpSmallFraction: 0.30,
 	}
 	return m
 }
@@ -139,6 +149,7 @@ func (m *Machine) Alloc(name string, n int64, elemSize int64, opts AllocOpts) (*
 	if err := m.place(a); err != nil {
 		return nil, err
 	}
+	a.frac = a.placementFracs()
 
 	l3 := float64(m.cfg.L3PerSocket * int64(m.cfg.Sockets))
 	if l3 > 0 {
@@ -327,16 +338,16 @@ func (m *Machine) ParallelPinned(socket, threads int, fn func(t *Thread)) Region
 }
 
 func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionStats {
+	if !m.inRegion.CompareAndSwap(false, true) {
+		panic("memsim: Parallel called while another region runs on the same Machine")
+	}
+	defer m.endRegion()
 	if threads <= 0 {
 		threads = 1
 	}
 	if max := m.cfg.MaxThreads(); threads > max {
 		threads = max
 	}
-	for s := range m.regionThreadsOnSocket {
-		m.regionThreadsOnSocket[s] = 0
-	}
-	m.regionThreads = threads
 	cores := m.cfg.Sockets * m.cfg.CoresPerSocket
 	if pinSocket >= 0 {
 		cores = m.cfg.CoresPerSocket
@@ -347,38 +358,34 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 		// solo throughput, so two siblings deliver ~1.35x one core.
 		smtScale = 1.48
 	}
-	ts := make([]*Thread, threads)
-	for i := 0; i < threads; i++ {
-		s := threadSocket(&m.cfg, i)
-		if pinSocket >= 0 {
-			s = pinSocket
-		}
-		m.regionThreadsOnSocket[s]++
-		ts[i] = &Thread{
-			m:        m,
-			ID:       i,
-			Socket:   s,
-			tlb:      newTLB(m.cfg.TLB),
-			rng:      0x9E3779B97F4A7C15 ^ (uint64(i+1) * 0xBF58476D1CE4E5B9),
-			smtScale: smtScale,
-		}
+	for len(m.threads) < threads {
+		m.threads = append(m.threads, &Thread{m: m, tlb: newTLB(m.cfg.TLB)})
 	}
+	ts := m.threads[:threads]
+	m.regionThreads = threads
+	m.nextThread.Store(0)
 
-	// Execute the virtual threads on real goroutines. Each Thread
-	// accumulates its charges, counters and simulated time into private
-	// state; shared machine state (page-table touch bits, shootdown
-	// totals) is only read during the region and updated from recorded
-	// intents at the barrier below, so the merged result is byte-identical
-	// for every goroutine interleaving and GOMAXPROCS setting.
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for i := 0; i < threads; i++ {
-		go func(t *Thread) {
-			defer wg.Done()
-			fn(t)
-		}(ts[i])
+	// Execute the virtual threads on at most GOMAXPROCS workers: the
+	// calling goroutine plus workers-1 helpers, each claiming thread
+	// indices until none are left and running each claimed thread's body
+	// to completion. Each Thread accumulates its charges, counters and
+	// simulated time into private state; shared machine state (page-table
+	// touch bits, shootdown totals) is only read during the region and
+	// updated from recorded intents at the barrier below, so the merged
+	// result is byte-identical for every worker count and interleaving.
+	// That is also why a body must never wait on another virtual thread
+	// of its region: with fewer workers than threads, the thread it waits
+	// on may not start until the waiter returns.
+	workers := runtime.GOMAXPROCS(0)
+	if workers > threads {
+		workers = threads
 	}
-	wg.Wait()
+	m.workers.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go m.runWorker(pinSocket, smtScale, fn)
+	}
+	m.runThreads(pinSocket, smtScale, fn)
+	m.workers.Wait()
 
 	// Barrier merge, in thread-index order.
 	//
@@ -398,7 +405,9 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 				}
 			}
 		}
-		t.touches = nil
+		// Drop the array references so a pooled thread never keeps a
+		// freed allocation alive.
+		clear(t.touches)
 	}
 	// Phase 3: charge shootdown IPIs (every running thread services every
 	// batch) and fold per-thread clocks and counters into the region stats.
@@ -420,6 +429,39 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 	m.wallNs += stats.ElapsedNs
 	m.counters.Add(stats.Counters)
 	return stats
+}
+
+// endRegion releases the machine for the next region once every helper
+// worker has returned, also when the region body panicked on the calling
+// goroutine.
+func (m *Machine) endRegion() {
+	m.workers.Wait()
+	m.inRegion.Store(false)
+}
+
+// runWorker is runThreads on a helper goroutine.
+func (m *Machine) runWorker(pinSocket int, smtScale float64, fn func(t *Thread)) {
+	defer m.workers.Done()
+	m.runThreads(pinSocket, smtScale, fn)
+}
+
+// runThreads claims virtual-thread indices of the current region until
+// none are left, resetting each claimed pooled thread to its fresh state
+// and running the region body on it.
+func (m *Machine) runThreads(pinSocket int, smtScale float64, fn func(t *Thread)) {
+	for {
+		i := int(m.nextThread.Add(1) - 1)
+		if i >= m.regionThreads {
+			return
+		}
+		s := threadSocket(&m.cfg, i)
+		if pinSocket >= 0 {
+			s = pinSocket
+		}
+		t := m.threads[i]
+		t.reset(i, s, smtScale)
+		fn(t)
+	}
 }
 
 // Sequential runs fn on a single virtual thread pinned to socket 0.

@@ -4,6 +4,10 @@ package memsim
 // its own simulated clock, TLB, RNG, and counters, so threads never share
 // mutable simulator state and the simulation stays deterministic per thread
 // regardless of goroutine interleaving.
+//
+// A Thread is valid only inside the region body it was passed to: the
+// Machine pools Thread state and resets it for the next region, so callers
+// must not keep a *Thread past its region.
 type Thread struct {
 	m *Machine
 	// ID is the virtual thread index within the region, in [0, threads).
@@ -20,7 +24,7 @@ type Thread struct {
 	// C collects this thread's simulated hardware events.
 	C Counters
 
-	tlb *tlb
+	tlb tlb
 	rng uint64
 
 	// smtScale multiplies charged compute time when SMT siblings share a
@@ -45,6 +49,25 @@ type Thread struct {
 	// line of the same array hit in L1 and cost almost nothing.
 	lastArray *Array
 	lastLine  int64
+}
+
+// reset returns a pooled thread to the exact state a freshly built thread
+// for virtual thread id would have: clock, counters, memo and pending
+// shootdowns zeroed, the per-ID RNG seed restored and the TLB emptied.
+// The first-touch overlay is already empty (the barrier clears it); it is
+// cleared again here in case the previous region's body panicked.
+func (t *Thread) reset(id, socket int, smtScale float64) {
+	t.ID = id
+	t.Socket = socket
+	t.Clock = 0
+	t.C = Counters{}
+	t.tlb.reset()
+	t.rng = 0x9E3779B97F4A7C15 ^ (uint64(id+1) * 0xBF58476D1CE4E5B9)
+	t.smtScale = smtScale
+	t.shootdowns = 0
+	clear(t.touches)
+	t.lastArray = nil
+	t.lastLine = 0
 }
 
 // threadSocket maps virtual thread IDs to sockets using compact pinning.

@@ -16,8 +16,8 @@ type tlbClass struct {
 	clock  uint64
 }
 
-func newTLB(cfg TLBConfig) *tlb {
-	return &tlb{
+func newTLB(cfg TLBConfig) tlb {
+	return tlb{
 		small: newTLBClass(cfg.SmallEntries),
 		huge:  newTLBClass(cfg.HugeEntries),
 		giant: newTLBClass(cfg.GiantEntries),
@@ -69,17 +69,6 @@ func (c *tlbClass) lookup(pageID uint64) bool {
 	return false
 }
 
-// invalidate drops pageID if present (TLB shootdown of a migrated page).
-func (c *tlbClass) invalidate(pageID uint64) {
-	for i, p := range c.pages {
-		if p == pageID {
-			c.pages[i] = ^uint64(0)
-			c.stamps[i] = 0
-			return
-		}
-	}
-}
-
 // flushRandom invalidates the slot selected by r, used to model the
 // shootdowns triggered by other threads' migrations without sharing state.
 func (c *tlbClass) flushRandom(r uint64) {
@@ -88,10 +77,23 @@ func (c *tlbClass) flushRandom(r uint64) {
 	c.stamps[i] = 0
 }
 
-// flushAll empties the class.
-func (c *tlbClass) flushAll() {
-	for i := range c.pages {
+// reset empties every class, at a cost proportional to the entries used.
+func (t *tlb) reset() {
+	t.small.reset()
+	t.huge.reset()
+	t.giant.reset()
+}
+
+// reset returns the class to its freshly built state. Each lookup installs
+// into the lowest-indexed slot of minimum stamp, and a fresh or invalidated
+// slot has stamp 0, so lookups only ever fill the prefix [0, clock) of the
+// slots; everything past it is still fresh. A class whose clock is 0 has
+// never been probed and costs nothing to reset.
+func (c *tlbClass) reset() {
+	used := min(c.clock, uint64(len(c.pages)))
+	for i := range used {
 		c.pages[i] = ^uint64(0)
 		c.stamps[i] = 0
 	}
+	c.clock = 0
 }
